@@ -198,6 +198,8 @@ impl RtController {
     ) -> Self {
         let (to_ctrl, from_workers) = unbounded();
         let n = nfs.len();
+        let router = Arc::new(Router::with_workers(n));
+        router.install(0, Filter::any(), 0);
         let dials = tel.counter("rt.p2p.dials");
         let meshes: Vec<Arc<PeerMesh>> =
             (0..n).map(|_| PeerMesh::new(n, dials.clone())).collect();
@@ -215,7 +217,7 @@ impl RtController {
                     ),
                     None => FaultyChannel::passthrough(to_ctrl.clone()),
                 };
-                spawn_worker_full(i, nf, up, meshes[i].clone(), tel.clone())
+                spawn_worker_full(i, nf, up, meshes[i].clone(), tel.clone(), router.gauge(i))
             })
             .collect();
         // Hand every mesh the ingredients for the direct worker ↔ worker
@@ -238,9 +240,8 @@ impl RtController {
             None => FaultyChannel::passthrough(workers[i].tx.clone()),
         };
         let ctrl_links = (0..n).map(|i| link(i, CTRL_NODE)).collect();
-        let data_links = (0..n).map(|i| link(i, ROUTER_NODE)).collect();
-        let router = Arc::new(Router::new());
-        router.install(0, Filter::any(), 0);
+        let data_links =
+            (0..n).map(|i| link(i, ROUTER_NODE).with_ingress(router.gauge(i))).collect();
         let c_frames_decoded = tel.counter("rt.frames.decoded");
         let c_frames_encoded = tel.counter("rt.frames.encoded");
         let c_events_pumped = tel.counter("rt.events.pumped");
@@ -713,7 +714,7 @@ impl RtController {
         for evs in stray.into_values() {
             for ev in evs {
                 if let WireEvent::PacketReceived { ref packet } = ev {
-                    if let Some(w) = self.router.route(packet) {
+                    if let Some(w) = self.router.lookup(packet) {
                         let _ = self.replay_one(w, ev);
                     }
                 }

@@ -76,12 +76,14 @@ pub(crate) const STREAM_BATCH: usize = 64;
 /// loop re-checks per-op deadlines.
 const POLL: Duration = Duration::from_millis(5);
 
-/// Hard ceiling on the post-flip straggler drain.
+/// Hard ceiling on the post-flip ingress drain, reached only when the
+/// source's ingress gauge leaks (a routed packet that is never sent).
 const FWD_DRAIN: Duration = Duration::from_millis(200);
 
-/// Early exit: no straggler for this long means the flip has settled
-/// (keeps single-move latency at the synchronous controller's level).
-const FWD_IDLE: Duration = Duration::from_millis(20);
+/// Least spacing between two drain barriers of one move: a gauge still
+/// up after a barrier round-trip is a packet between routing and sending,
+/// which is worth a re-check at dispatch pace, not a busy loop.
+const FWD_REPROBE: Duration = Duration::from_millis(1);
 
 /// One requested op: state matching `filter` is moved, copied, or shared
 /// from worker `src` to worker `dst`.
@@ -193,8 +195,9 @@ enum St {
     /// All state confirmed at the destination; `delPerflow` in flight at
     /// the source (move's copy-then-delete release).
     Deleting,
-    /// Route flipped; draining straggler events raised by packets that
-    /// were already queued toward the source (move only).
+    /// Route flipped; waiting for the source's ingress gauge to drain, so
+    /// every packet routed to it under the old rule has been handled there
+    /// and its event is on the uplink (move only).
     FwdWait,
     /// Fenced `disableEvents` in flight; collecting the teardown flush.
     Settling,
@@ -230,7 +233,8 @@ struct OpTask {
     start: Instant,
     /// Watchdog for the outstanding request(s); reset on every ack/batch.
     deadline: Instant,
-    /// Correlation id awaited in WaitEnable/Deleting/Settling/Abort*.
+    /// Correlation id awaited in WaitEnable/Deleting/Settling/Abort*, and
+    /// the outstanding drain barrier in FwdWait (0 = none).
     wait_id: u64,
     /// The streamed export's correlation id (all its batches share it).
     get_id: u64,
@@ -249,7 +253,8 @@ struct OpTask {
     replayed: usize,
     flipped: bool,
     fwd_deadline: Instant,
-    last_event: Instant,
+    /// FwdWait: no new drain barrier before this instant.
+    next_probe: Instant,
     duration: Duration,
     err: Option<RtError>,
 }
@@ -335,7 +340,7 @@ impl RtController {
                     replayed: 0,
                     flipped: false,
                     fwd_deadline: now,
-                    last_event: now,
+                    next_probe: now,
                     duration: Duration::ZERO,
                     err: None,
                 }
@@ -727,10 +732,19 @@ impl RtController {
                 t.phase = Some(self.tel.begin_under(root, "move.fwd_update"));
                 self.router.install(10, t.spec.filter, t.spec.dst);
                 t.flipped = true;
-                let now = Instant::now();
-                t.fwd_deadline = now + FWD_DRAIN;
-                t.last_event = now;
+                t.fwd_deadline = Instant::now() + FWD_DRAIN;
+                t.wait_id = 0;
                 self.set_st(t, St::FwdWait);
+                self.fwd_drain(t, ti, by_req, locks);
+            }
+            St::FwdWait if id == t.wait_id => {
+                by_req.remove(&id);
+                t.wait_id = 0;
+                // Still up: a packet is between routing and sending; the
+                // tick re-probes once FWD_REPROBE has passed.
+                if self.router.in_flight(t.spec.src) == 0 {
+                    self.fwd_settle(t, ti, by_req, locks);
+                }
             }
             St::Settling if id == t.wait_id => {
                 by_req.remove(&id);
@@ -833,21 +847,28 @@ impl RtController {
         }
     }
 
-    /// Hands an event to the op that owns the raising worker, or routes
-    /// it onward when no op does (a straggler from an op that already
-    /// finished). Copies never arm events, so they never own a stream —
-    /// an event raised at a copy's source belongs to no one and routes
-    /// on.
+    /// Hands an event to the op whose filter raised it — active, armed
+    /// at the raising worker, matching the event's packet — or routes it
+    /// onward when no op does (a straggler from an op that already
+    /// finished). Several ops may arm disjoint filters at one source (two
+    /// shares), so the worker alone does not name the owner. Copies never
+    /// arm events, so they never own a stream — an event raised at a
+    /// copy's source belongs to no one and routes on.
     fn route_event(&mut self, tasks: &mut [OpTask], worker: usize, ev: WireEvent) {
         if self.is_crashed() {
             return;
         }
-        let now = Instant::now();
-        if let Some(t) = tasks
-            .iter_mut()
-            .find(|t| t.active() && t.spec.src == worker && t.spec.kind != OpClass::Copy)
-        {
-            t.last_event = now;
+        let packet = match &ev {
+            WireEvent::PacketReceived { packet } | WireEvent::PacketProcessed { packet } => packet,
+            WireEvent::NfFailed { .. } => return,
+        };
+        let owner = tasks.iter().position(|t| {
+            t.active()
+                && t.spec.src == worker
+                && t.spec.kind != OpClass::Copy
+                && t.spec.filter.matches_packet(packet)
+        });
+        if let Some(t) = owner.map(|ti| &mut tasks[ti]) {
             if t.st == St::FwdWait {
                 // Past the flush: stragglers replay straight to the
                 // destination instead of queueing for another flush.
@@ -874,15 +895,73 @@ impl RtController {
             }
             return;
         }
-        // No owner: deliver wherever the rule table points now.
+        // No owner: deliver wherever the rule table points now (a replay,
+        // so it is not counted as ingress).
         if let WireEvent::PacketReceived { ref packet } = ev {
-            if let Some(w) = self.router.route(packet) {
+            if let Some(w) = self.router.lookup(packet) {
                 let _ = self.replay_one(w, ev);
             }
         }
     }
 
-    /// Time-driven transitions: straggler-drain windows closing and reply
+    /// The post-flip drain check. A zero ingress gauge at the source means
+    /// every packet routed there under the old rule has been handled and
+    /// raised its event ahead of anything the source sends next, so the
+    /// filter can come down now. Otherwise round-trip an empty delete
+    /// behind the queued packets and re-check on its ack.
+    fn fwd_drain(
+        &mut self,
+        t: &mut OpTask,
+        ti: usize,
+        by_req: &mut HashMap<u64, usize>,
+        locks: &mut Locks,
+    ) {
+        if self.router.in_flight(t.spec.src) == 0 {
+            self.fwd_settle(t, ti, by_req, locks);
+            return;
+        }
+        // The management channel keeps the barrier out of fault verdicts
+        // (how many barriers a move needs is timing-dependent).
+        match self.send_fenced_mgmt(t.spec.src, WireCall::DelPerflow { flow_ids: Vec::new() }) {
+            Ok(id) => {
+                t.wait_id = id;
+                by_req.insert(id, ti);
+                t.next_probe = Instant::now() + FWD_REPROBE;
+            }
+            Err(_) => self.fwd_settle(t, ti, by_req, locks),
+        }
+    }
+
+    /// Ends a move's post-flip wait: tears the event filter down over the
+    /// management channel; whatever the teardown flushes out replays at
+    /// the ack.
+    fn fwd_settle(
+        &mut self,
+        t: &mut OpTask,
+        ti: usize,
+        by_req: &mut HashMap<u64, usize>,
+        locks: &mut Locks,
+    ) {
+        if let Some(sp) = t.phase.take() {
+            self.tel.end(sp);
+        }
+        by_req.remove(&t.wait_id);
+        let (src, filter) = (t.spec.src, t.spec.filter);
+        match self.send_fenced_mgmt(src, WireCall::DisableEvents { filter }) {
+            Ok(id) => {
+                t.wait_id = id;
+                by_req.insert(id, ti);
+                t.deadline = Instant::now() + self.reply_timeout;
+                self.set_st(t, St::Settling);
+            }
+            // The source is gone, so its filter (and any still-buffered
+            // events) died with it; the destination already holds the
+            // state.
+            Err(_) => self.finalize_commit(t, locks),
+        }
+    }
+
+    /// Time-driven transitions: drain re-probes and ceilings, and reply
     /// watchdogs firing.
     fn tick(
         &mut self,
@@ -896,26 +975,9 @@ impl RtController {
         let now = Instant::now();
         for (ti, t) in tasks.iter_mut().enumerate() {
             match t.st {
-                St::FwdWait if now >= t.fwd_deadline || now >= t.last_event + FWD_IDLE => {
-                    if let Some(sp) = t.phase.take() {
-                        self.tel.end(sp);
-                    }
-                    // Converge: tear the event filter down over the
-                    // management channel; whatever the teardown
-                    // flushes out replays at the ack.
-                    let (src, filter) = (t.spec.src, t.spec.filter);
-                    match self.send_fenced_mgmt(src, WireCall::DisableEvents { filter }) {
-                        Ok(id) => {
-                            t.wait_id = id;
-                            by_req.insert(id, ti);
-                            t.deadline = now + self.reply_timeout;
-                            self.set_st(t, St::Settling);
-                        }
-                        // The source is gone, so its filter (and any
-                        // still-buffered events) died with it; the
-                        // destination already holds the state.
-                        Err(_) => self.finalize_commit(t, locks),
-                    }
+                St::FwdWait if now >= t.fwd_deadline => self.fwd_settle(t, ti, by_req, locks),
+                St::FwdWait if t.wait_id == 0 && now >= t.next_probe => {
+                    self.fwd_drain(t, ti, by_req, locks)
                 }
                 St::WaitEnable | St::Streaming | St::Deleting if now >= t.deadline => {
                     let id = t.wait_id;

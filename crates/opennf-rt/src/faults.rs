@@ -43,6 +43,7 @@
 //! what the exactly-once-or-accounted oracle consumes.
 
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -51,6 +52,7 @@ use opennf_telemetry::Telemetry;
 use opennf_util::{Dur, FaultEvent, FaultKind, FaultPlan, NodeId, SimRng, Time};
 use parking_lot::Mutex;
 
+use crate::router::release;
 use crate::wire::{WireEvent, WireMsg};
 
 /// The controller's node id in fault plans (simulator layout).
@@ -307,6 +309,18 @@ fn packet_uids(json: &str) -> Vec<u64> {
     }
 }
 
+/// How many fresh (routed, not replayed) packets a channel payload
+/// carries: what a router → worker link's ingress gauge counts.
+fn fresh_packets(json: &str) -> u64 {
+    match crate::wire::decode_frame(json) {
+        Ok(msgs) => msgs
+            .iter()
+            .filter(|m| matches!(m, WireMsg::Packet { packet } if !packet.do_not_drop))
+            .count() as u64,
+        Err(_) => 0,
+    }
+}
+
 /// The sending half of one directed link, with the fault shim applied.
 ///
 /// In passthrough mode (no plan armed) it forwards straight to the
@@ -323,6 +337,10 @@ struct LinkShim {
     dst: NodeId,
     faults: Arc<RtFaults>,
     pump: Sender<PumpJob>,
+    /// Router → worker links: the destination's ingress gauge, kept exact
+    /// across faults (a lost packet leaves it, a duplicate joins it;
+    /// delayed and stalled packets stay on it until delivered).
+    ingress: Option<Arc<AtomicU64>>,
 }
 
 /// The error a faulty send surfaces when the receiving thread is gone —
@@ -354,7 +372,16 @@ impl FaultyChannel {
         faults: Arc<RtFaults>,
         pump: Sender<PumpJob>,
     ) -> Self {
-        FaultyChannel { target, shim: Some(LinkShim { src, dst, faults, pump }) }
+        FaultyChannel { target, shim: Some(LinkShim { src, dst, faults, pump, ingress: None }) }
+    }
+
+    /// Keeps `gauge` (the destination's ingress gauge) exact across the
+    /// faults this link injects. A passthrough link injects none.
+    pub(crate) fn with_ingress(mut self, gauge: Arc<AtomicU64>) -> Self {
+        if let Some(shim) = &mut self.shim {
+            shim.ingress = Some(gauge);
+        }
+        self
     }
 
     /// Sends a wire message through the link, applying any matching fault.
@@ -382,6 +409,7 @@ impl FaultyChannel {
                 led.log.push(FaultEvent::LostAtCrashedNode { time: t, dst: shim.dst });
                 led.lost_uids.extend(packet_uids(&json));
             }
+            shim.lose(&json);
             f.emit("fault.crash_loss", format!("dst={}", shim.dst.0));
             return Ok(());
         }
@@ -402,6 +430,7 @@ impl FaultyChannel {
                     led.log.push(FaultEvent::Dropped { time: t, src: shim.src, dst: shim.dst });
                     led.lost_uids.extend(packet_uids(&json));
                 }
+                shim.lose(&json);
                 f.emit("fault.drop", format!("src={} dst={}", shim.src.0, shim.dst.0));
                 Ok(())
             }
@@ -426,6 +455,9 @@ impl FaultyChannel {
                     led.duplicated_uids.extend(packet_uids(&json));
                 }
                 f.emit("fault.duplicate", format!("src={} dst={}", shim.src.0, shim.dst.0));
+                if let Some(g) = &shim.ingress {
+                    g.fetch_add(fresh_packets(&json), Ordering::AcqRel);
+                }
                 self.pump_at(shim, t + gap, json.clone());
                 self.target.send(json).map_err(|_| LinkClosed)
             }
@@ -457,6 +489,15 @@ impl FaultyChannel {
             PumpJob { due, seq: shim.faults.next_seq(), target: self.target.clone(), json };
         // A closed pump only happens at teardown; the loss is benign.
         let _ = shim.pump.send(job);
+    }
+}
+
+impl LinkShim {
+    /// A payload that will never arrive leaves the ingress gauge.
+    fn lose(&self, json: &str) {
+        if let Some(g) = &self.ingress {
+            release(g, fresh_packets(json));
+        }
     }
 }
 
@@ -655,6 +696,78 @@ mod tests {
         }
         assert!(rx.try_recv().is_err(), "all dropped");
         assert_eq!(faults.ledger().lost_sorted(), (1..=6).collect::<Vec<_>>());
+        drop(ch);
+        faults.join_pump();
+    }
+
+    /// A router → worker link with one fresh packet already routed (the
+    /// gauge reads 1, as after `Router::route`) under `kind` on every send.
+    fn gauged_link(kind: FaultKind) -> (FaultyChannel, Receiver<String>, Arc<RtFaults>, Arc<AtomicU64>) {
+        let (from, until) = always();
+        let plan =
+            FaultPlan::new(4).link(Some(ROUTER_NODE), Some(worker_node(0)), from, until, 1000, kind);
+        let (faults, pump) = RtFaults::arm(plan);
+        let (tx, rx) = unbounded();
+        let gauge = Arc::new(AtomicU64::new(1));
+        let ch = FaultyChannel::shimmed(tx, ROUTER_NODE, worker_node(0), faults.clone(), pump)
+            .with_ingress(gauge.clone());
+        (ch, rx, faults, gauge)
+    }
+
+    #[test]
+    fn dropped_fresh_packet_leaves_the_ingress_gauge() {
+        let (ch, rx, faults, gauge) = gauged_link(FaultKind::Drop);
+        ch.send_json(pkt_json(1)).unwrap();
+        assert!(rx.try_recv().is_err(), "dropped");
+        assert_eq!(gauge.load(Ordering::Acquire), 0, "a lost packet is no longer in flight");
+        // A dropped replay was never routed, so it never counted.
+        gauge.store(1, Ordering::Release);
+        let k = FlowKey::tcp("10.0.0.1".parse().unwrap(), 1000, "1.1.1.1".parse().unwrap(), 80);
+        let mut replay = Packet::builder(2, k).build();
+        replay.do_not_drop = true;
+        ch.send(&WireMsg::Packet { packet: replay }).unwrap();
+        assert_eq!(gauge.load(Ordering::Acquire), 1, "replays leave the gauge alone");
+        drop(ch);
+        faults.join_pump();
+    }
+
+    #[test]
+    fn duplicated_fresh_packet_joins_the_ingress_gauge() {
+        let (ch, rx, faults, gauge) = gauged_link(FaultKind::Duplicate(Dur::millis(5)));
+        ch.send_json(pkt_json(3)).unwrap();
+        assert_eq!(gauge.load(Ordering::Acquire), 2, "original + duplicate both in flight");
+        for _ in 0..2 {
+            rx.recv_timeout(Duration::from_secs(1)).expect("both copies arrive");
+        }
+        drop(ch);
+        faults.join_pump();
+    }
+
+    #[test]
+    fn delayed_fresh_packet_stays_on_the_ingress_gauge() {
+        let (ch, rx, faults, gauge) = gauged_link(FaultKind::Delay(Dur::millis(20)));
+        ch.send_json(pkt_json(5)).unwrap();
+        assert!(rx.try_recv().is_err(), "held by the pump");
+        assert_eq!(gauge.load(Ordering::Acquire), 1, "still in flight while delayed");
+        rx.recv_timeout(Duration::from_secs(2)).expect("redelivered");
+        // Only the receiving worker releases a delivered packet.
+        assert_eq!(gauge.load(Ordering::Acquire), 1);
+        drop(ch);
+        faults.join_pump();
+    }
+
+    #[test]
+    fn crash_lost_fresh_packet_leaves_the_ingress_gauge() {
+        let plan = FaultPlan::new(2)
+            .crash(worker_node(0), Time::ZERO)
+            .restart(worker_node(0), Time(u64::MAX));
+        let (faults, pump) = RtFaults::arm(plan);
+        let (tx, _rx) = unbounded();
+        let gauge = Arc::new(AtomicU64::new(1));
+        let ch = FaultyChannel::shimmed(tx, ROUTER_NODE, worker_node(0), faults.clone(), pump)
+            .with_ingress(gauge.clone());
+        ch.send_json(pkt_json(6)).unwrap();
+        assert_eq!(gauge.load(Ordering::Acquire), 0);
         drop(ch);
         faults.join_pump();
     }

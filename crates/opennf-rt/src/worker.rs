@@ -19,6 +19,7 @@ use opennf_telemetry::Telemetry;
 
 use crate::error::RtError;
 use crate::faults::{worker_node, FaultyChannel, PumpJob, RtFaults};
+use crate::router::release;
 use crate::wire::{decode_frame, FrameBuf, WireCall, WireEvent, WireMsg, WireReply};
 
 /// Chunks per direct worker → worker frame in a P2P bulk transfer.
@@ -157,22 +158,31 @@ pub fn spawn_worker_faulty(
     nf: Box<dyn NetworkFunction>,
     to_ctrl: FaultyChannel,
 ) -> WorkerHandle {
-    spawn_worker_full(index, nf, to_ctrl, PeerMesh::unwired(), Telemetry::disabled())
+    spawn_worker_full(
+        index,
+        nf,
+        to_ctrl,
+        PeerMesh::unwired(),
+        Telemetry::disabled(),
+        Arc::new(AtomicU64::new(0)),
+    )
 }
 
-/// Spawns a worker with a (late-bound) peer mesh for P2P bulk transfer and
-/// a telemetry handle for its hot-path counters.
+/// Spawns a worker with a (late-bound) peer mesh for P2P bulk transfer, a
+/// telemetry handle for its hot-path counters, and the router's ingress
+/// gauge for this worker (released once per fresh packet received).
 pub fn spawn_worker_full(
     index: usize,
     nf: Box<dyn NetworkFunction>,
     to_ctrl: FaultyChannel,
     peers: PeerLinks,
     tel: Telemetry,
+    ingress: Arc<AtomicU64>,
 ) -> WorkerHandle {
     let (tx, rx): (Sender<String>, Receiver<String>) = unbounded();
     let join = std::thread::Builder::new()
         .name(format!("nf-worker-{index}"))
-        .spawn(move || worker_loop(index, nf, rx, to_ctrl, peers, tel))
+        .spawn(move || worker_loop(index, nf, rx, to_ctrl, peers, tel, ingress))
         .expect("spawn worker");
     WorkerHandle { index, tx, join: Some(join) }
 }
@@ -305,6 +315,7 @@ fn worker_loop(
     to_ctrl: FaultyChannel,
     peers: PeerLinks,
     tel: Telemetry,
+    ingress: Arc<AtomicU64>,
 ) -> EventedNf {
     let mut harness = EventedNf::new(nf);
     let mut ev_buf = FrameBuf::new();
@@ -371,13 +382,21 @@ fn worker_loop(
                 WireMsg::Shutdown => break 'recv,
                 WireMsg::Packet { packet } => {
                     match catch_unwind(AssertUnwindSafe(|| harness.handle_packet(&packet))) {
-                        Ok((_outcome, events)) => send_events(
-                            index,
-                            &to_ctrl,
-                            &mut ev_buf,
-                            events,
-                            &counters.frames_encoded,
-                        ),
+                        Ok((_outcome, events)) => {
+                            send_events(
+                                index,
+                                &to_ctrl,
+                                &mut ev_buf,
+                                events,
+                                &counters.frames_encoded,
+                            );
+                            // Released only after the events are out, so a
+                            // drained gauge implies they are on the uplink.
+                            // Controller replays were never routed.
+                            if !packet.do_not_drop {
+                                release(&ingress, 1);
+                            }
+                        }
                         Err(payload) => {
                             let reason = panic_reason(payload);
                             let _ = to_ctrl
